@@ -9,7 +9,7 @@ central deadlock detector (:mod:`repro.engine.deadlock`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Deque, Dict
 
@@ -46,10 +46,14 @@ class _LockRequest:
     event: Event
 
 
-@dataclass
 class _LockEntry:
-    holders: Dict[int, LockMode] = field(default_factory=dict)
-    waiters: Deque[_LockRequest] = field(default_factory=deque)
+    """Holders and FIFO waiters of one locked resource."""
+
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self) -> None:
+        self.holders: Dict[int, LockMode] = {}
+        self.waiters: Deque[_LockRequest] = deque()
 
 
 class LockManager:
@@ -77,7 +81,10 @@ class LockManager:
         The event fails with :class:`DeadlockAbort` if the transaction is
         chosen as a deadlock victim while waiting.
         """
-        entry = self._table.setdefault(resource, _LockEntry())
+        table = self._table
+        entry = table.get(resource)
+        if entry is None:
+            entry = table[resource] = _LockEntry()
         held = entry.holders.get(txn_id)
         event = Event(self.env)
         if held is not None and (held is LockMode.EXCLUSIVE or mode is LockMode.SHARED):
@@ -119,7 +126,11 @@ class LockManager:
         current = entry.holders.get(txn_id)
         if current is None or mode is LockMode.EXCLUSIVE:
             entry.holders[txn_id] = mode
-        self._held_by_txn.setdefault(txn_id, {})[resource] = None
+        held = self._held_by_txn.get(txn_id)
+        if held is None:
+            self._held_by_txn[txn_id] = {resource: None}
+        else:
+            held[resource] = None
         self.acquired += 1
 
     # -- release ----------------------------------------------------------------

@@ -26,6 +26,11 @@ macro-event instead.  Semantics are pinned to the unbatched loop:
   macro-event splits on the first quantum boundary at or after the arrival:
   the holder releases there (granting the newcomer exactly as the unbatched
   release would) and re-queues its remainder through the per-quantum path.
+
+A macro-event is built only for a run with at least two interior boundaries
+to jump: a remaining demand of three or more quanta.  A two-quantum demand
+has one boundary, so a batch could save at most one heap push while costing
+its whole set-up and replay; it always takes the per-quantum path.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ _UTILIZATION_SLACK = 1e-9
 class _QuantumBatch:
     """Bookkeeping for one coalesced run of uncontended CPU quanta.
 
-    ``n`` slices cover the remaining demand: ``n - 1`` full quanta of
+    ``n >= 3`` slices cover the remaining demand: ``n - 1`` full quanta of
     ``sec_q`` seconds each plus a final slice of ``sec_final`` seconds.
     Boundary ``k`` (1-based) is the fold ``t0 + sec_1 + ... + sec_k``; the
     macro-event fires at boundary ``n`` unless split earlier.
@@ -91,7 +96,7 @@ class _QuantumBatch:
         self.sec_q = sec_q
         self.sec_final = sec_final
         self.next_index = 1
-        self.next_time = env._now + (sec_q if n > 1 else sec_final)
+        self.next_time = env._now + sec_q
         self.split_index = 0  # 0 = ran to completion
         end = env._now
         for _ in range(n - 1):
@@ -212,6 +217,18 @@ class _QuantumBatch:
         self.next_index = i
         self.next_time = nt
 
+    def elided_events(self, covered: int) -> int:
+        """Heap pushes saved over ``covered`` quanta (unbatched: a request and a timeout each).
+
+        The batch pushed the first request before it existed, its markers and
+        its wake: none when a marker fired it, two when a split followed the
+        end push.
+        """
+        pushed = 1 + self.hops + (0 if self.fired else 1)
+        if self.split_index and not self.has_marker:
+            pushed += 1
+        return max(0, 2 * covered - pushed)
+
     def preempt(self) -> None:
         """A competing request arrived: split on the next quantum boundary.
 
@@ -307,10 +324,10 @@ class CpuServer:
                 # mid-run (stragglers), and a new slice must run at the
                 # speed in force when it starts.
                 seconds_for = self.config.seconds_for
-                if coalesce and remaining > quantum and resource._queued == 0:
-                    # Uncontended: cover every remaining quantum with one
-                    # macro-event.  Slice count and boundaries replicate the
-                    # unbatched loop's float arithmetic exactly.
+                if coalesce and remaining > 2 * quantum and resource._queued == 0:
+                    # Uncontended and at least three quanta left: cover them
+                    # with one macro-event.  Slice count and boundaries
+                    # replicate the unbatched loop's float arithmetic exactly.
                     n = 1
                     r = remaining
                     while r > quantum:
@@ -329,12 +346,12 @@ class CpuServer:
                         batch.sync(env._now)
                     k = batch.split_index
                     if k == 0 or k >= n:
-                        env.events_coalesced += max(0, 2 * n - 2 - batch.hops)
+                        k = n
                         remaining = 0
                     else:
-                        env.events_coalesced += max(0, 2 * k - 2 - batch.hops)
                         for _ in range(k):
                             remaining -= quantum
+                    env.events_coalesced += batch.elided_events(k)
                 else:
                     slice_instructions = quantum if remaining > quantum else remaining
                     yield Timeout(env, seconds_for(slice_instructions))

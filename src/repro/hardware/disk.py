@@ -23,6 +23,12 @@ utilisation accounting and disk-picking decisions are bit-identical.  Any
 external request on the disk or the controller splits the macro-event at the
 current phase boundary and the chain falls back to per-chunk mode from
 there, exactly where the unbatched loop would have yielded the slot.
+
+A macro-event is built only for a run with at least two interior boundaries
+to jump: a sequential chain of two or more chunks.  A single physical I/O
+(every random read or write, a one-chunk sequential access) has at most one
+boundary, so a batch could save at most one heap push while costing its
+whole set-up and replay; it always takes the per-step path.
 """
 
 from __future__ import annotations
@@ -91,14 +97,14 @@ class LruCache:
 class _ChainBatch:
     """Virtualised uncontended disk/controller chain under one macro-event.
 
-    ``n`` chunks alternate a disk phase (``busy_full``/``busy_last`` seconds)
-    and -- when the controller time is non-zero -- a controller phase
-    (``ctl_full``/``ctl_last`` seconds).  The batch is created *after* the
-    real grant of the first chunk's disk request; every later transition is
-    replayed by :meth:`sync` strictly before the observation time, mutating
-    the two resources exactly as the per-chunk release/request pairs would
-    (the transition *at* the wake time is performed for real by the owning
-    generator).
+    ``n >= 2`` chunks alternate a disk phase (``busy_full``/``busy_last``
+    seconds) and -- when the controller time is non-zero -- a controller
+    phase (``ctl_full``/``ctl_last`` seconds).  The batch is created *after*
+    the real grant of the first chunk's disk request; every later transition
+    is replayed by :meth:`sync` strictly before the observation time,
+    mutating the two resources exactly as the per-chunk release/request
+    pairs would (the transition *at* the wake time is performed for real by
+    the owning generator).
     """
 
     __slots__ = (
@@ -135,7 +141,7 @@ class _ChainBatch:
         self.ctl_last = ctl_last
         self.index = 1
         self.phase = _PHASE_DISK
-        self.next_time = env._now + (busy_full if n > 1 else busy_last)
+        self.next_time = env._now + busy_full
         self.split = False
         self.fired = False
         # Fold the chain end exactly as the per-chunk loop advances the clock.
@@ -152,19 +158,11 @@ class _ChainBatch:
         self.hop_index = 1
         self.hop_phase = _PHASE_DISK
         self.hop_time = self.next_time
-        self.hops = 0
+        self.hops = 1
+        self.has_marker = True
         self.relay = False
         self._alive = True
-        if self._hop_final(1, _PHASE_DISK):
-            # Single-chunk chain without a controller part: the first disk
-            # phase is the whole chain, schedule the macro-event directly.
-            self.has_marker = False
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (end, eid, self.event))
-        else:
-            self.hops = 1
-            self.has_marker = True
-            BatchHop(env, self, self.next_time)
+        BatchHop(env, self, self.next_time)
         array._batch = self
         disk._batch = self
         array.controller._batch = self
@@ -363,18 +361,19 @@ class _ChainBatch:
         n = self.n
         full = 2 + (2 if self.ctl_full > 0.0 else 0)
         last = 2 + (2 if self.ctl_last > 0.0 else 0)
-        covered = (i - 1) * full + (last if i >= n else full)
+        # The first chunk's disk grant was pushed before the batch existed.
+        covered = (i - 1) * full + (last if i >= n else full) - 1
         if self.phase == _PHASE_DISK:
             # The in-flight chunk's controller part runs for real after the
             # wake; only its disk part was covered.
             ctl_time = self.ctl_full if i < n else self.ctl_last
             if ctl_time > 0.0:
                 covered -= 2
-        if self.fired:
-            # The wake reused the final marker's heap entry: no extra push.
-            actual = self.hops
-        else:
-            actual = self.hops + (2 if self.split else 1)
+        # The wake pushes nothing when it reused a marker's heap entry, and
+        # twice when a split followed the end push.
+        actual = self.hops + (0 if self.fired else 1)
+        if self.split and not self.has_marker:
+            actual += 1
         return max(0, covered - actual)
 
 
@@ -448,39 +447,16 @@ class DiskArray:
     def _physical_io(
         self, disk: Resource, busy_time: float, controller_pages: int
     ) -> Generator:
-        """One physical I/O: queue at the disk, then at the controller."""
+        """One physical I/O: queue at the disk, then at the controller (never coalesced)."""
         self.physical_ios += 1
         env = self.env
         config = self.config
-        batch = None
         req = disk.request()
         try:
             yield req
-            if self._can_batch(disk):
-                batch = _ChainBatch(
-                    self, disk, req, 1,
-                    busy_time, busy_time,
-                    0.0, config.controller_time(controller_pages),
-                )
-                yield batch.event
-            else:
-                yield env.timeout(busy_time)
+            yield Timeout(env, busy_time)
         finally:
-            if batch is not None:
-                batch.finalize(env._now)
-                if batch.phase == _PHASE_CTL:
-                    # The disk half already finished (virtually); the real
-                    # disk release was replayed, hand back the controller.
-                    self.controller.release(batch.ctl_req)
-                else:
-                    disk.release(req)
-            else:
-                disk.release(req)
-        if batch is not None:
-            env.events_coalesced += batch.elided_events()
-            if batch.phase != _PHASE_DISK:
-                return
-            # Split before the controller phase: serve it for real.
+            disk.release(req)
         controller_time = config.controller_time(controller_pages)
         if controller_time > 0:
             controller = self.controller
@@ -530,9 +506,9 @@ class DiskArray:
                 # in force when its disk grant arrives.
                 config = self.config
                 busy = config.sequential_io_time(chunk)
-                if self._can_batch(disk):
-                    # Chunk schedule of the remaining pages: every chunk is a
-                    # full prefetch except the last.
+                if remaining > prefetch and self._can_batch(disk):
+                    # Chunk schedule of the remaining pages (n >= 2): every
+                    # chunk is a full prefetch except the last.
                     n = (remaining + prefetch - 1) // prefetch
                     last_pages = remaining - (n - 1) * prefetch
                     batch = _ChainBatch(
@@ -627,10 +603,12 @@ class DiskArray:
         busy = sum(disk.busy_time() for disk in self.disks)
         return now, busy
 
-    def utilization_since(self, snapshot: Tuple[float, float]) -> float:
-        """Average utilisation across disks since ``snapshot``."""
+    def utilization_since(
+        self, snapshot: Tuple[float, float], current: Optional[Tuple[float, float]] = None
+    ) -> float:
+        """Average utilisation across disks from ``snapshot`` to ``current`` (default: now)."""
         then, busy_then = snapshot
-        now, busy_now = self.snapshot()
+        now, busy_now = current if current is not None else self.snapshot()
         elapsed = now - then
         if elapsed <= 0 or not self.disks:
             return 0.0

@@ -411,6 +411,116 @@ def test_cpu_split_wake_keeps_tie_break_at_shared_boundary():
 
 
 # ---------------------------------------------------------------------------
+# batching gate and coalesced-event accounting
+# ---------------------------------------------------------------------------
+
+def _on_disk(io):
+    def workload(env, disks, trace):
+        def run():
+            yield from io(disks)
+            trace.append(("done", env.now, disks.physical_ios))
+            trace.append(("busy", disks.snapshot()))
+
+        env.process(run())
+
+    return _run_disk, workload
+
+
+def _on_cpu(work):
+    def workload(env, cpu, trace):
+        def run():
+            yield from work(cpu)
+            trace.append(("done", env.now))
+            trace.append(("busy", cpu.resource.snapshot()))
+
+        env.process(run())
+
+    return _run_cpu, workload
+
+
+def _preempted(run, chain, competitor):
+    # ``chain`` starts uncontended and is split by ``competitor`` at 7 ms.
+    def workload(env, resource, trace):
+        def first():
+            yield from chain(resource)
+            trace.append(("chain", env.now))
+
+        def second():
+            yield Timeout(env, 0.007)
+            yield from competitor(resource)
+            trace.append(("competitor", env.now))
+
+        env.process(first())
+        env.process(second())
+
+    return run, workload
+
+
+def _chunks(n):
+    return _on_disk(lambda disks: disks.read_sequential(n * disks.prefetch))
+
+
+def _quanta(n):
+    return _on_cpu(lambda cpu: cpu.consume(n * cpu._quantum))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _chunks(2),
+        _chunks(3),
+        _chunks(10),
+        _quanta(3),
+        _quanta(13),
+        _preempted(_run_disk, lambda d: d.read_sequential(40), lambda d: d.read_random()),
+        _preempted(
+            _run_cpu,
+            lambda c: c.consume(10 * c._quantum),
+            lambda c: c.consume(10_000, priority=PRIORITY_OLTP),
+        ),
+    ],
+    ids=[
+        "disk-2-chunks",
+        "disk-3-chunks",
+        "disk-10-chunks",
+        "cpu-3-quanta",
+        "cpu-13-quanta",
+        "disk-10-chunks-split",
+        "cpu-10-quanta-split",
+    ],
+)
+def test_coalesced_count_is_exactly_the_saved_events(case):
+    # events_coalesced promises the heap pushes the unbatched run would have
+    # made on top of the batched run's own: the two must add up exactly, for
+    # a batch that runs to its end and for one split by a competitor.
+    run, workload = case
+    env_a, _, trace_a = run(False, workload)
+    env_b, _, trace_b = run(True, workload)
+    assert trace_a == trace_b
+    assert env_b.events_coalesced > 0
+    assert env_b.events_dispatched + env_b.events_coalesced == env_a.events_dispatched
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _on_disk(lambda disks: disks.read_random()),
+        _on_disk(lambda disks: disks.write_random()),
+        _chunks(1),
+        _quanta(2),
+    ],
+    ids=["read-random", "write-random", "disk-1-chunk", "cpu-2-quanta"],
+)
+def test_runs_with_fewer_than_two_interior_boundaries_are_not_batched(case):
+    run, workload = case
+    env_a, _, trace_a = run(False, workload)
+    env_b, _, trace_b = run(True, workload)
+    assert trace_a == trace_b
+    assert env_b.events_coalesced == 0
+    assert env_b.events_dispatched == env_a.events_dispatched
+
+
+# ---------------------------------------------------------------------------
 # network transfer chains
 # ---------------------------------------------------------------------------
 
