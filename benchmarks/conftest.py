@@ -19,6 +19,7 @@ import pathlib
 import pytest
 
 from repro.experiments.base import default_measured_joins, default_time_limit
+from repro.runner import RunnerConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -41,8 +42,8 @@ def bench_time_limit(default: float) -> float:
     return default_time_limit(default)
 
 
-def bench_workers(default: int | None = None) -> int:
-    """Worker processes per figure run (``REPRO_BENCH_WORKERS``-overridable).
+def bench_runner(default: int | None = None) -> RunnerConfig:
+    """Uncached runner over ``REPRO_BENCH_WORKERS`` worker processes.
 
     Defaults to one worker per CPU core so the independent points of a sweep
     run concurrently; benchmarks stay deterministic because every point is
@@ -56,7 +57,7 @@ def bench_workers(default: int | None = None) -> int:
         value = fallback
     if value == 0:  # same contract as --workers 0 / ParallelRunner(workers=0)
         value = os.cpu_count() or 1
-    return max(1, value)
+    return RunnerConfig(workers=max(1, value), no_cache=True)
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ from repro.runner import (
     build_scenario,
     make_backend,
 )
-from repro.runner.queue import DEFAULT_LEASE_SECONDS
+from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
 from repro.scheduling.strategy import strategy_names
 from repro.simulation.driver import SimulationDriver
@@ -400,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    return RunnerConfig.from_args(args).make_runner()
-
-
 def _run_simulate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -504,7 +500,7 @@ def _experiment_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 def _run_experiment(args: argparse.Namespace) -> int:
     spec = _experiment_spec(args)
-    _print_spec_result(spec, _make_runner(args), args)
+    _print_spec_result(spec, RunnerConfig.from_args(args).make_runner(), args)
     return 0
 
 
@@ -934,7 +930,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 load_trace(trace_file)
             except (OSError, ValueError) as exc:
                 raise SystemExit(f"invalid --arrival-param file: {exc}") from None
-    _print_spec_result(spec, _make_runner(args), args)
+    _print_spec_result(spec, RunnerConfig.from_args(args).make_runner(), args)
     return 0
 
 

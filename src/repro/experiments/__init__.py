@@ -1,10 +1,9 @@
 """Reproduction of the paper's evaluation section, one module per figure.
 
 Each figure module declares its sweep as a :class:`repro.runner.ScenarioSpec`
-(registered by name in :mod:`repro.runner.registry`) and keeps a thin
-``run(...)`` wrapper that executes the spec through
-:class:`repro.runner.ParallelRunner`.  Importing this package populates the
-scenario registry.
+builder, registered by name in :mod:`repro.runner.registry`; importing this
+package populates the registry.  :func:`repro.experiments.base.run_scenario`
+runs any registered scenario by name.
 """
 
 from repro.experiments import (
@@ -29,6 +28,7 @@ from repro.experiments.base import (
     default_measured_joins,
     default_time_limit,
     run_point,
+    run_scenario,
     run_single_user_point,
 )
 from repro.experiments.export import collect_rows, export_rows
@@ -62,6 +62,7 @@ __all__ = [
     "default_time_limit",
     "export_rows",
     "run_point",
+    "run_scenario",
     "run_single_user_point",
     "homogeneous_config",
     "join_complexity_config",
@@ -69,24 +70,3 @@ __all__ = [
     "mixed_workload_config",
     "render_parameter_table",
 ]
-
-def _registry_run(name):
-    """Back-compat run callable executing a registered scenario spec."""
-
-    def _run(workers=1, cache=None, **kwargs):
-        from repro.runner import ParallelRunner, build_scenario
-
-        return ParallelRunner(workers=workers, cache=cache).run(build_scenario(name, **kwargs))
-
-    _run.__name__ = f"run_{name}"
-    return _run
-
-
-#: Back-compat mapping derived from the scenario registry: figure name ->
-#: callable returning an ExperimentResult ("parameters" is a static table,
-#: not a simulated figure, hence excluded).
-from repro.runner import available_scenarios as _available_scenarios
-
-EXPERIMENTS = {
-    name: _registry_run(name) for name in _available_scenarios() if name != "parameters"
-}

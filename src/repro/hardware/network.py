@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from repro.config.parameters import InstructionCosts, NetworkConfig, TopologyConfig
-from repro.sim import BatchWalk, Environment, Resource, Timeout, coalescing_enabled
+from repro.sim import Environment, Resource, Timeout
 
 __all__ = ["Network"]
 
@@ -58,7 +58,6 @@ class Network:
         self._fabric: Optional[Resource] = (
             Resource(env, capacity=link_capacity, name="network") if model_contention else None
         )
-        self._coalesce = coalescing_enabled()
         self._topology: Optional[TopologyConfig] = (
             topology if topology is not None and not topology.is_flat else None
         )
@@ -145,41 +144,11 @@ class Network:
     ):
         """Simulation step: a burst of back-to-back transfers by one sender.
 
-        Without fabric contention modelling the burst collapses into a single
-        macro-event whose end time folds the per-message delays exactly as
-        sequential :meth:`transfer` calls would advance the clock, so the
-        completion time is bit-identical; stats are still counted
-        per-message.  With a fabric resource enabled, messages fall back to
-        per-message requests (the shared link is a contended multi-server
-        resource and must observe every arrival).
-
-        Callers that pre-aggregate a burst into one message (the common idiom
-        in the execution layer) need no chain at all; this is for flows that
-        must keep per-message accounting.
+        Each message is one :meth:`transfer`, so stats and (with a fabric
+        resource enabled) link requests are per message.  Callers that
+        pre-aggregate a burst into one message (the common idiom in the
+        execution layer) need no chain at all; this is for flows that must
+        keep per-message accounting.
         """
-        sizes = list(sizes)
-        if not sizes:
-            return
-        env = self.env
-        if self._fabric is None and self._coalesce and len(sizes) > 1:
-            # Interior boundaries and the end repeat the unbatched loop's
-            # float fold; the walker's hop markers keep heap pushes at the
-            # same simulated instants as the per-message timeouts would be.
-            end = env._now
-            boundaries = []
-            for nbytes in sizes:
-                self.messages_sent += 1
-                self.packets_sent += self.packets_for(nbytes)
-                self.bytes_sent += max(0, nbytes)
-                end += self.transfer_time(nbytes, src, dst)
-                boundaries.append(end)
-            boundaries.pop()  # the chain end is the macro-event itself
-            walk = BatchWalk(env, boundaries, end)
-            try:
-                yield walk.event
-            finally:
-                walk._alive = False
-            env.events_coalesced += max(0, len(sizes) - 1 - walk.hops)
-            return
         for nbytes in sizes:
             yield from self.transfer(nbytes, src, dst)

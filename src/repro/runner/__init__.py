@@ -23,8 +23,8 @@ The experiment layer is split into three pieces:
   enqueues a spec and folds the results in expansion order.
 
 :class:`~repro.runner.config.RunnerConfig` is the single construction path
-from user-facing options (CLI flags, test fixtures, figure wrappers) to the
-serial / process-pool / distributed runner they describe.
+from user-facing options (CLI flags, :func:`repro.experiments.base.run_scenario`)
+to the serial / process-pool / distributed runner they describe.
 """
 
 from repro.runner.backends import (
@@ -37,7 +37,6 @@ from repro.runner.backends import (
 from repro.runner.cache import ResultCache, default_cache_dir, point_key
 from repro.runner.config import RunnerConfig
 from repro.runner.distributed import DistributedRunner
-from repro.runner.queue import WorkQueue
 from repro.runner.registry import (
     available_scenarios,
     build_scenario,
@@ -74,7 +73,6 @@ __all__ = [
     "RunnerConfig",
     "ScenarioSpec",
     "Sweep",
-    "WorkQueue",
     "Worker",
     "WorkerStats",
     "available_scenarios",

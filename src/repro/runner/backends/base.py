@@ -1,11 +1,8 @@
 """The ``QueueBackend`` protocol: the abstract work-distribution surface.
 
-PR 4's distributed layer was written against one concrete class -- the
-filesystem :class:`~repro.runner.backends.filesystem.FilesystemBackend`
-(née ``WorkQueue``) -- which tied every consumer (worker daemon,
-coordinator, CLI) to a shared mount.  This module extracts the *semantic*
-surface those consumers actually rely on, so dispatch can run over any
-transport that honours the same contract:
+This is the *semantic* surface the consumers of a work queue (worker
+daemon, coordinator, CLI) rely on, so dispatch can run over any transport
+that honours the same contract, not only a shared mount:
 
 * durable **task records** keyed by the host-independent result-cache key
   (:func:`repro.runner.cache.point_key`), enqueued idempotently;

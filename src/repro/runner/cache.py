@@ -42,7 +42,9 @@ __all__ = ["ResultCache", "default_cache_dir", "point_key", "write_json_atomic"]
 #: v6: replication & failover -- the ``replication`` axis joined the payload
 #: (canonicalised to ``None`` on single-copy points), and timeline windows
 #: carry a per-window ``effective_availability`` field.
-CACHE_FORMAT_VERSION = 6
+#: v7: a racked topology with unit wire factors keeps its entry (it used
+#: to canonicalise to ``None``, dropping its racks).
+CACHE_FORMAT_VERSION = 7
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:

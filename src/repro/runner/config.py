@@ -1,14 +1,13 @@
 """`RunnerConfig`: the single construction path for every runner kind.
 
-The CLI grew its runner options one PR at a time --
-``--workers/--no-cache/--cache-dir/--distributed/--queue-dir/
---queue-timeout/--max-retries`` and now ``--url`` -- and each consumer
-(CLI subcommands, ``make_runner``, tests, figure wrappers) re-encoded the
-same "which runner do these flags mean?" decision tree.  This dataclass
-is that decision tree, once: build a config (directly, or from parsed CLI
-args via :meth:`from_args`), then :meth:`make_runner` yields the serial /
+The runner options -- ``--workers/--no-cache/--cache-dir/--distributed/
+--queue-dir/--queue-timeout/--max-retries/--url`` -- answer one question:
+which runner do these flags mean?  This dataclass is that decision tree,
+once: build a config (directly, or from parsed CLI args via
+:meth:`from_args`), then :meth:`make_runner` yields the serial /
 process-pool / distributed runner it describes, and :meth:`make_backend`
-the queue backend for worker/status-style commands.
+the queue backend for worker/status-style commands.  CLI subcommands and
+:func:`repro.experiments.base.run_scenario` both take a config.
 
 Precedence: a queue target (``url`` wins over ``queue_dir``) selects a
 :class:`~repro.runner.distributed.DistributedRunner` whose backend owns
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
     import os
 
     from repro.runner.backends.base import QueueBackend
-    from repro.runner.cache import ResultCache
     from repro.runner.runner import ParallelRunner
 
 __all__ = ["RunnerConfig"]
@@ -50,8 +48,6 @@ class RunnerConfig:
     no_cache: bool = False
     #: Cache directory override (``None`` = ``$REPRO_CACHE_DIR`` default).
     cache_dir: Optional[Union[str, "os.PathLike"]] = None
-    #: Pre-built cache object (tests); overrides ``no_cache``/``cache_dir``.
-    cache: Optional["ResultCache"] = None
     #: Filesystem queue directory (selects a distributed runner).
     queue_dir: Optional[Union[str, "os.PathLike"]] = None
     #: Coordinator URL (selects a distributed runner over HTTP; wins over
@@ -133,14 +129,8 @@ class RunnerConfig:
             if self.max_retries is not None:
                 kwargs["max_attempts"] = self.max_retries
             return DistributedRunner(self.queue_target, **kwargs)
+        from repro.runner.cache import ResultCache
         from repro.runner.runner import ParallelRunner
 
-        if self.cache is not None:
-            cache = self.cache
-        elif self.no_cache:
-            cache = None
-        else:
-            from repro.runner.cache import ResultCache
-
-            cache = ResultCache(self.cache_dir)
+        cache = None if self.no_cache else ResultCache(self.cache_dir)
         return ParallelRunner(workers=self.workers, cache=cache)

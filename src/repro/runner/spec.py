@@ -100,11 +100,16 @@ def _canonical_node_classes(entry) -> Optional[NodeClassesEntry]:
 
 
 def _canonical_topology(entry) -> Optional[TopologyEntry]:
-    """Normalise a topology entry; ``None`` when the topology is flat."""
+    """Normalise a topology entry; ``None`` for a single rack.
+
+    A racked topology with unit wire factors is flat on the wire but not
+    the axis default: its racks are still fault targets
+    (``crash@t:rack=r``), so it keeps its entry.
+    """
     if entry is None:
         return None
     normalized = tuple((str(key), value) for key, value in entry)
-    if TopologyConfig(**dict(normalized)).is_flat:
+    if TopologyConfig(**dict(normalized)).racks <= 1:
         return None
     return normalized
 

@@ -5,7 +5,6 @@ from repro.sim.core import (
     AnyOf,
     BatchHop,
     BatchTimeout,
-    BatchWalk,
     Environment,
     Event,
     Interrupt,
@@ -22,7 +21,6 @@ __all__ = [
     "AnyOf",
     "BatchHop",
     "BatchTimeout",
-    "BatchWalk",
     "Environment",
     "Event",
     "Interrupt",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "SimulationError",
@@ -55,7 +55,6 @@ __all__ = [
     "Timeout",
     "BatchTimeout",
     "BatchHop",
-    "BatchWalk",
     "Process",
     "AllOf",
     "AnyOf",
@@ -377,52 +376,6 @@ class BatchHop(Event):
         self.batch = batch
         eid = env._eid = env._eid + 1
         heappush(env._hops, (at, eid, self))
-
-
-class BatchWalk:
-    """Accounting-free batch over a precomputed ascending boundary fold.
-
-    For chains whose interior boundaries have *no observable side effects*
-    (e.g. back-to-back network transfers on an uncontended fabric): the
-    walker only preserves the heap-entry cadence of the unbatched loop --
-    each :class:`BatchHop` lands on a boundary, quiet stretches are crossed
-    in one jump, and the deferred :class:`BatchTimeout` fires at ``end``.
-
-    ``boundaries`` are the interior step ends (chain end excluded), computed
-    by the caller with the same float fold as the unbatched loop.
-    """
-
-    __slots__ = ("event", "boundaries", "hop_index", "hops", "_alive")
-
-    def __init__(self, env: "Environment", boundaries: List[float], end: float):
-        self.event = BatchTimeout(env, end, defer=True)
-        self.boundaries = boundaries
-        self.hop_index = 0
-        self.hops = 0
-        self._alive = True
-        if boundaries:
-            self.hops = 1
-            BatchHop(env, self, boundaries[0])
-        else:
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (end, eid, self.event))
-
-    def hop(self, horizon: float) -> None:
-        """Advance at least one boundary, at most to ``horizon``."""
-        boundaries = self.boundaries
-        i = self.hop_index + 1
-        n = len(boundaries)
-        while i < n and boundaries[i] <= horizon:
-            i += 1
-        event = self.event
-        env = event.env
-        if i >= n:
-            eid = env._eid = env._eid + 1
-            heappush(env._queue, (event._when, eid, event))
-        else:
-            self.hop_index = i
-            self.hops += 1
-            BatchHop(env, self, boundaries[i])
 
 
 class Initialize(Event):

@@ -3,8 +3,8 @@
 Macro-events must be *invisible* to simulation outcomes: every test here
 compares a batched run against its unbatched twin with ``==`` (not approx),
 because the coalescing layer promises bit-identical times and accounting,
-not merely close ones.  The kernel-level tests pin the BatchTimeout /
-BatchHop / BatchWalk building blocks directly.
+not merely close ones.  The kernel-level tests pin the BatchTimeout
+building block directly.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.config import CpuConfig, DiskConfig, InstructionCosts, NetworkConfig,
 from repro.hardware import CpuServer, DiskArray, Network, PRIORITY_OLTP
 from repro.sim import (
     BatchTimeout,
-    BatchWalk,
     Environment,
     SimulationError,
     Timeout,
@@ -57,46 +56,6 @@ def test_batch_timeout_split_validation():
     env.run()
     with pytest.raises(SimulationError):
         event.split(10.0)  # already processed
-
-
-def test_batch_walk_jumps_quiet_stretch_in_one_hop():
-    env = Environment()
-    done = []
-    walk = BatchWalk(env, [1.0, 2.0, 3.0], 4.0)
-    walk.event.add_callback(lambda ev: done.append(env.now))
-    env.run()
-    assert done == [4.0]
-    # One marker at the first boundary, then a single jump to the end:
-    # heap traffic is 2 entries instead of 4 per-step timeouts.
-    assert walk.hops == 1
-    assert env.events_dispatched == 2
-
-
-def test_batch_walk_steps_around_interleaved_event():
-    env = Environment()
-    order = []
-    walk = BatchWalk(env, [1.0, 2.0, 3.0], 4.0)
-    walk.event.add_callback(lambda ev: order.append(("walk", env.now)))
-
-    def other():
-        yield Timeout(env, 2.5)
-        order.append(("other", env.now))
-
-    env.process(other())
-    env.run()
-    assert order == [("other", 2.5), ("walk", 4.0)]
-    # The marker could not jump past the event at 2.5 in its first hop.
-    assert walk.hops >= 2
-
-
-def test_batch_walk_without_boundaries_schedules_end_directly():
-    env = Environment()
-    done = []
-    walk = BatchWalk(env, [], 2.0)
-    walk.event.add_callback(lambda ev: done.append(env.now))
-    env.run()
-    assert done == [2.0]
-    assert walk.hops == 0
 
 
 def test_coalescing_toggle_env_var(monkeypatch):
@@ -524,7 +483,7 @@ def test_runs_with_fewer_than_two_interior_boundaries_are_not_batched(case):
 # network transfer chains
 # ---------------------------------------------------------------------------
 
-def test_network_transfer_chain_is_bit_identical_and_saves_events():
+def test_network_transfer_chain_is_bit_identical():
     sizes = [4_096, 8_192, 20_000, 100]
 
     def run(chain):
@@ -552,8 +511,7 @@ def test_network_transfer_chain_is_bit_identical_and_saves_events():
         net_b.packets_sent,
         net_b.bytes_sent,
     )
-    assert env_b.events_dispatched < env_a.events_dispatched
-    assert env_b.events_coalesced > 0
+    assert env_b.events_dispatched == env_a.events_dispatched
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,47 @@ def test_explicit_default_axes_expand_to_historical_points():
     assert explicit.points() == plain.points()
 
 
+def test_racked_sweep_with_rack_fault_runs(capsys):
+    """Unit wire factors do not make a racked topology the flat default:
+    a rack-scoped fault still finds its rack."""
+    from repro.cli import main
+
+    code = main([
+        "sweep", "--sizes", "12", "--arrival", "poisson", "--time-limit", "4",
+        "--topology", "racks=3", "--fault", "crash@2:rack=1:duration=1", "--no-cache",
+    ])
+    assert code == 0
+    assert "OPT-IO-CPU [poisson] 3r [crashr1@2]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw, rack_fault", [
+    ((("racks", 1),), False),
+    ((("racks", 1), ("cross_rack_latency_factor", 8.0)), False),
+    ((("racks", 3),), True),
+    ((("racks", 3), ("cross_rack_latency_factor", 8.0)), True),
+])
+def test_canonical_topology_runs_like_its_raw_form(raw, rack_fault):
+    """Canonicalisation preserves behaviour, not only seeds and cache keys:
+    the expanded point and the same point carrying the raw entry agree."""
+    from repro.faults.plan import FaultEvent, encode_failures
+    from repro.runner import ScenarioSpec, Sweep
+    from repro.runner.runner import run_point_spec
+
+    failures = (
+        encode_failures([FaultEvent(time=1.0, kind="pe_crash", rack=1, duration=1.0)])
+        if rack_fault else None
+    )
+    spec = ScenarioSpec(
+        name="t", title="t", x_label="x",
+        sweeps=(Sweep(kind="timeline", scenario="homogeneous", strategies=("OPT-IO-CPU",),
+                      system_sizes=(6,), topologies=(raw,), failures=(failures,)),),
+        max_simulated_time=3.0,
+    )
+    (point,) = spec.points()
+    raw_point = dataclasses.replace(point, topology=raw)
+    assert run_point_spec(point).to_dict() == run_point_spec(raw_point).to_dict()
+
+
 # -- satellite 3: uniform fallback byte-identity --------------------------------------
 GOLDEN_ARGS = [
     "experiment", "figure5",
@@ -425,10 +466,12 @@ def test_heterogeneous_scenario_registered_and_expands():
 
 def test_export_emits_window_class_rows():
     from repro.experiments.export import collect_rows
-    from repro.runner import ParallelRunner, build_scenario
+    from repro.experiments import run_scenario
+    from repro.runner import RunnerConfig
 
-    spec = build_scenario(
+    result = run_scenario(
         "heterogeneous",
+        RunnerConfig(workers=1, no_cache=True),
         system_sizes=(4,),
         strategies=("OPT-IO-CPU",),
         node_mixes=("fast-half",),
@@ -436,7 +479,6 @@ def test_export_emits_window_class_rows():
         max_simulated_time=6.0,
         timeline_window=3.0,
     )
-    result = ParallelRunner(workers=1, cache=None).run(spec)
     rows = collect_rows(result)
     class_rows = [row for row in rows if row["row_type"] == "window_class"]
     assert class_rows, "heterogeneous timeline export must carry per-class rows"

@@ -104,14 +104,24 @@ def test_expansion_resolves_env_run_limits_into_points(monkeypatch):
     assert cache.key(spec.points()[0]) != key_17
 
 
-def test_experiments_mapping_mirrors_registry():
-    from repro.experiments import EXPERIMENTS
+def test_run_scenario_default_is_serial_and_uncached(tmp_path, monkeypatch):
+    from repro.experiments import run_scenario
 
-    assert set(EXPERIMENTS) == set(available_scenarios()) - {"parameters"}
-    experiment = EXPERIMENTS["figure6"](system_sizes=(10,), strategies=("OPT-IO-CPU",),
-                                        measured_joins=5, max_simulated_time=20,
-                                        include_single_user=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    calls = []
+    real_init = ParallelRunner.__init__
+
+    def spy_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        calls.append((self.workers, self.cache))
+
+    monkeypatch.setattr(ParallelRunner, "__init__", spy_init)
+    experiment = run_scenario("figure6", system_sizes=(10,), strategies=("OPT-IO-CPU",),
+                              measured_joins=5, max_simulated_time=20,
+                              include_single_user=False)
     assert experiment.series_names() == ["OPT-IO-CPU"]
+    assert calls == [(1, None)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derive_seed_is_stable_and_sensitive():
