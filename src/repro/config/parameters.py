@@ -454,14 +454,6 @@ class SystemConfig:
         return tuple(range(self.a_node_count, self.a_node_count + self.b_node_count))
 
     # -- heterogeneous hardware ------------------------------------------
-    @property
-    def heterogeneous(self) -> bool:
-        """True when at least one PE runs non-default hardware."""
-        return any(
-            not node_class.is_default_hardware and end > start
-            for start, end, node_class in self._class_blocks
-        )
-
     def node_class_of(self, pe_id: int) -> Optional[NodeClass]:
         """The :class:`NodeClass` covering ``pe_id`` (None = default hardware)."""
         for start, end, node_class in self._class_blocks:
@@ -521,9 +513,8 @@ class SystemConfig:
 
     @property
     def mean_mips_factor(self) -> float:
-        """System-wide mean relative CPU speed (1.0 for uniform systems)."""
-        if not self.heterogeneous:
-            return 1.0
+        """System-wide mean relative CPU speed (exactly 1.0 when every
+        factor is 1.0)."""
         total = float(self.num_pe)
         for start, end, node_class in self._class_blocks:
             total += (end - start) * (node_class.mips_factor - 1.0)

@@ -54,7 +54,7 @@ def _scan_sites(system, relation):
     ring).  Falls back to the primaries when no alive copy exists -- the
     fault runtime holds such queries before they reach execution.
     """
-    faults = getattr(system, "faults", None)
+    faults = system.faults
     if faults is not None and relation.backups:
         dead = faults.dead_pes()
         if dead:

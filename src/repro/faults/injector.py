@@ -12,8 +12,10 @@ function and labeled anomaly windows, folded into per-window timeline
 rows (``availability`` / ``anomaly``) by the timeline collector.
 
 Construction discipline: a :class:`FaultRuntime` is only ever built for a
-*non-empty* plan.  Zero-fault systems carry ``faults = None`` and take the
-exact historical code paths.
+*non-empty* plan.  Zero-fault systems carry ``faults = None``, which spares
+every transaction the hold/track bookkeeping and every scan the failover
+lookup; scheduling runs the same availability-aware code either way (all PEs
+stay available without a runtime).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.database.allocation import failover_scan_sites
-from repro.faults.plan import FaultEvent, expand_events
+from repro.faults.plan import FaultEvent, expand_events, validate_fault_targets
 from repro.workload.query import JoinQuery, Transaction
 
 __all__ = ["FaultRuntime"]
@@ -63,18 +65,7 @@ class FaultRuntime:
         self.env = system.env
         self.events: List[FaultEvent] = expand_events(events)
         num_pe = system.config.num_pe
-        for event in self.events:
-            if event.rack is not None:
-                racks = system.config.topology.racks
-                if event.rack >= racks:
-                    raise ValueError(
-                        f"fault targets rack {event.rack} but the topology has "
-                        f"{racks} rack(s)"
-                    )
-            elif event.pe >= num_pe:
-                raise ValueError(
-                    f"fault targets PE {event.pe} but the system has {num_pe} PEs"
-                )
+        validate_fault_targets(self.events, num_pe, system.config.topology.racks)
         self.alive = [True] * num_pe
         # Join-processor pool membership: PEs targeted by a pe_add start
         # outside the pool and join once their rebalancing completes.

@@ -44,9 +44,13 @@ Event kinds (:data:`FAULT_KINDS`):
     (zero aborts), then rebalances out.
 
 Zero-fault discipline: an empty (or ``None``) plan canonicalises to ``None``
-and constructs *nothing* -- no injector process, no extra events, no changed
-code paths -- so fault-free runs stay byte-identical to the committed
-goldens.
+and constructs *nothing* -- no injector process, no extra events, no
+per-transaction tracking.
+
+:func:`validate_fault_targets` checks a plan against the system's PE and rack
+counts; :class:`~repro.runner.spec.PointSpec` calls it on construction, so a
+plan that can never run is rejected at sweep expansion or submission rather
+than inside a worker.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "expand_events",
     "failures_label",
     "parse_fault",
+    "validate_fault_targets",
 ]
 
 #: Recognised fault kinds (see the module docstring).
@@ -238,6 +243,19 @@ def expand_events(events: Sequence[FaultEvent]) -> List[FaultEvent]:
     keyed.extend(derived)
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))
     return [item[3] for item in keyed]
+
+
+def validate_fault_targets(events: Sequence[FaultEvent], num_pe: int, racks: int) -> None:
+    """Raise ``ValueError`` if an event targets a PE or rack the system lacks."""
+    for event in events:
+        if event.rack is not None:
+            if event.rack >= racks:
+                raise ValueError(
+                    f"fault targets rack {event.rack} but the topology has "
+                    f"{racks} rack(s)"
+                )
+        elif event.pe >= num_pe:
+            raise ValueError(f"fault targets PE {event.pe} but the system has {num_pe} PEs")
 
 
 def failures_label(entry: Optional[FailuresEntry]) -> str:

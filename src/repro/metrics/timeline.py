@@ -173,7 +173,7 @@ class TimelineCollector:
         # redundant and stays off, keeping uniform timelines unchanged.
         groups: Dict[str, List[int]] = {}
         for index, pe in enumerate(self.pes):
-            groups.setdefault(getattr(pe, "node_class", "default"), []).append(index)
+            groups.setdefault(pe.node_class, []).append(index)
         self._class_groups = list(groups.items()) if len(groups) > 1 else []
         self.windows: List[TimelineWindow] = []
         self._join_rts: List[float] = []

@@ -35,7 +35,9 @@ from repro.config.parameters import REPLICATION_POLICIES, NodeClass, TopologyCon
 from repro.faults.plan import (
     FailuresEntry,
     canonical_failures as _canonical_failures,
+    decode_failures as _decode_failures,
     failures_label as _failures_label,
+    validate_fault_targets as _validate_fault_targets,
 )
 from repro.workload.arrivals import ARRIVAL_KINDS
 
@@ -415,6 +417,18 @@ class PointSpec:
     failures: Optional[FailuresEntry] = None
     #: Canonical replica-placement policy (``None`` = single copy).
     replication: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A fault plan aimed at a PE or rack the point lacks can never run:
+        # reject it here, at expansion or submission, not inside a worker.
+        # Overrides that resize the system are left to the run-time check.
+        if self.failures is None or any(
+            str(path).split(".")[0] in ("num_pe", "topology")
+            for path, _value in self.config_overrides
+        ):
+            return
+        racks = TopologyConfig(**dict(self.topology)).racks if self.topology else 1
+        _validate_fault_targets(_decode_failures(self.failures), self.num_pe, racks)
 
     def cache_payload(self) -> Tuple[Tuple[str, object], ...]:
         """The (key, value) pairs that determine this point's result."""

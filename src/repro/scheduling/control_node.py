@@ -59,24 +59,12 @@ class ControlNode:
                 cpu_utilization=0.0,
                 free_memory_pages=pe.buffer.free_pages,
                 disk_utilization=0.0,
-                cpu_capacity=getattr(pe, "cpu_factor", 1.0),
+                cpu_capacity=pe.cpu_factor,
             )
             for pe in self.pes
         }
-        # Uniform systems keep the historical utilisation-based orderings and
-        # plain averages so their float expressions stay bit-identical.
-        self._heterogeneous = any(
-            status.cpu_capacity != 1.0 for status in self._status.values()
-        )
-        # Fault awareness is off (historical code paths, bit-identical) until
-        # an injector attaches itself.
-        self._faults = None
         self.reports = 0
         self._running = False
-
-    def attach_faults(self, faults) -> None:
-        """Enable failure-aware rankings, driven by the fault injector."""
-        self._faults = faults
 
     # -- reporting -----------------------------------------------------------
     def start(self) -> None:
@@ -105,15 +93,13 @@ class ControlNode:
     def status_of(self, pe_id: int) -> NodeStatus:
         return self._status[pe_id]
 
-    def _ranked_statuses(self):
-        """Statuses the strategies may consider: all of them historically,
-        only the available ones once a fault injector is attached."""
-        if self._faults is None:
-            return self._status.values()
+    def _ranked_statuses(self) -> List[NodeStatus]:
+        """Statuses the strategies may consider: the available PEs (all of
+        them unless a fault injector has taken some out of the pool)."""
         return [status for status in self._status.values() if status.available]
 
     def average_cpu_utilization(self) -> float:
-        """Current average CPU utilisation over all (available) processors
+        """Current average CPU utilisation over all available processors
         (for 3.2)."""
         statuses = self._ranked_statuses()
         if not statuses:
@@ -122,19 +108,17 @@ class ControlNode:
 
     def average_effective_cpu_utilization(self) -> float:
         """Capacity-weighted CPU utilisation: the fraction of the system's
-        aggregate MIPS currently busy.  Equals :meth:`average_cpu_utilization`
-        on uniform, fault-free hardware (and takes that exact code path
-        there); with faults active, degraded stragglers contribute their
-        reduced capacity."""
-        if not self._heterogeneous and self._faults is None:
-            return self.average_cpu_utilization()
-        busy = 0.0
-        capacity = 0.0
-        for status in self._ranked_statuses():
-            effective = status.cpu_capacity * status.speed_factor
-            busy += status.cpu_utilization * effective
-            capacity += effective
-        return busy / capacity if capacity else 0.0
+        aggregate MIPS currently busy.  Each PE weighs in with its effective
+        capacity ``cpu_capacity * speed_factor``, so degraded stragglers count
+        for less; with unit capacities this is exactly the plain
+        :meth:`average_cpu_utilization`."""
+        statuses = self._ranked_statuses()
+        effective = [status.cpu_capacity * status.speed_factor for status in statuses]
+        capacity = sum(effective)
+        if not capacity:
+            return 0.0
+        busy = sum(status.cpu_utilization * e for status, e in zip(statuses, effective))
+        return busy / capacity
 
     def average_disk_utilization(self) -> float:
         statuses = self._ranked_statuses()
@@ -160,25 +144,19 @@ class ControlNode:
         )
 
     def nodes_by_cpu(self) -> List[NodeStatus]:
-        """All usable nodes sorted for LUC: least CPU load first, PE index
-        breaking ties.  On heterogeneous hardware "least loaded" means the
-        most *absolute* idle MIPS -- a fast node at 50 % has more headroom
-        than a slow node at 40 % -- so the ranking normalises by capacity;
-        with faults active, dead PEs are excluded and stragglers are
-        down-weighted by their current speed factor."""
-        if self._heterogeneous or self._faults is not None:
-            return sorted(
-                self._ranked_statuses(),
-                key=lambda status: (
-                    -(1.0 - status.cpu_utilization)
-                    * status.cpu_capacity
-                    * status.speed_factor,
-                    status.pe_id,
-                ),
-            )
+        """All available nodes sorted for LUC: most absolute idle MIPS first,
+        PE index breaking ties.  A fast node at 50 % has more headroom than a
+        slow node at 40 %, so the ranking weighs ``1 - u`` by capacity, and
+        stragglers by their current speed factor; with unit capacities this
+        is least CPU utilisation first."""
         return sorted(
-            self._status.values(),
-            key=lambda status: (status.cpu_utilization, status.pe_id),
+            self._ranked_statuses(),
+            key=lambda status: (
+                -(1.0 - status.cpu_utilization)
+                * status.cpu_capacity
+                * status.speed_factor,
+                status.pe_id,
+            ),
         )
 
     # -- adaptive corrections -------------------------------------------------------

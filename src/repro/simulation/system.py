@@ -94,14 +94,13 @@ class ParallelSystem:
         # fault injector can couple arrival surges to crashes.
         self.workload_generator = None
 
-        # Fault injection (PR 8).  ``faults`` is a sequence of FaultEvent
-        # records; an empty/None plan constructs nothing at all so that
-        # fault-free runs stay byte-identical to the historical goldens.
+        # Fault injection.  ``faults`` is a sequence of FaultEvent records; an
+        # empty/None plan builds no runtime, so fault-free runs skip the
+        # per-transaction hold/track bookkeeping entirely.
         if faults:
             from repro.faults.injector import FaultRuntime
 
             self.faults: Optional[FaultRuntime] = FaultRuntime(self, faults)
-            self.control_node.attach_faults(self.faults)
         else:
             self.faults = None
         self._started = False
@@ -132,35 +131,23 @@ class ParallelSystem:
         self.submitted += 1
         if isinstance(transaction, JoinQuery):
             self._join_router.route(transaction)
-            if self.faults is not None:
-                if not self.faults.on_submit(transaction):
-                    return  # held until the PEs it needs are back
-                process = self.env.process(self._run_join(transaction))
-                self.faults.track(transaction, process)
-            else:
-                self.env.process(self._run_join(transaction))
+            run = self._run_join
         elif isinstance(transaction, OltpTransaction):
             self._oltp_router.route(transaction)
-            if self.faults is not None:
-                if not self.faults.on_submit(transaction):
-                    return
-                process = self.env.process(self._run_oltp(transaction))
-                self.faults.track(transaction, process)
-            else:
-                self.env.process(self._run_oltp(transaction))
+            run = self._run_oltp
         else:
             self.rejected += 1
             raise TypeError(f"unsupported transaction type: {type(transaction).__name__}")
+        faults = self.faults
+        if faults is None:
+            self.env.process(run(transaction))
+        elif faults.on_submit(transaction):  # False: held until its PEs are back
+            faults.track(transaction, self.env.process(run(transaction)))
 
     # -- execution paths --------------------------------------------------------------------
     def scheduling_context(self) -> SchedulingContext:
-        if self.faults is not None:
-            return SchedulingContext(
-                cost_model=self.cost_model,
-                control=self.control_node,
-                eligible_processors=self.faults.eligible_processors(),
-            )
-        return SchedulingContext(cost_model=self.cost_model, control=self.control_node)
+        eligible = self.faults.eligible_processors() if self.faults is not None else None
+        return SchedulingContext(self.cost_model, self.control_node, eligible)
 
     def _run_join(self, query: JoinQuery):
         coordinator = self.pes[query.coordinator_pe]

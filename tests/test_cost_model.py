@@ -38,6 +38,36 @@ def test_psu_no_io_grows_when_memory_shrinks():
     assert CostModel(small_buffer).psu_no_io(join(0.01)) > CostModel(config).psu_no_io(join(0.01))
 
 
+@pytest.mark.parametrize("explicit_default_class", [False, True])
+def test_psu_no_io_on_uniform_hardware_is_formula_3_1(explicit_default_class):
+    """The capacity-vector form of psu-noIO reduces to the scalar formula
+    (3.1), max(1, min(n, ceil(bi * F / m))), when every buffer pool is m."""
+    import math
+    from dataclasses import replace
+
+    from repro.config.parameters import NodeClass
+
+    node_classes = (NodeClass(name="plain", fraction=1.0),) if explicit_default_class else ()
+    selectivities = (0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0)
+    fudge_factors = (1.0, 1.05, 1.1, 1.3, 1.5, 2.0)
+    for buffer_pages in (25, 50, 333, 2500):
+        for num_pe in (1, 2, 3, 7, 10, 40, 60, 160):
+            config = SystemConfig(num_pe=num_pe, node_classes=node_classes)
+            config = config.with_overrides(
+                buffer=replace(config.buffer, buffer_pages=buffer_pages)
+            )
+            cm = CostModel(config)
+            for selectivity in selectivities:
+                for fudge in fudge_factors:
+                    query = JoinQuery(scan_selectivity=selectivity, fudge_factor=fudge)
+                    profile = cm.profile(query)
+                    needed = profile.inner_pages * profile.fudge_factor
+                    expected = max(1, min(num_pe, math.ceil(needed / buffer_pages)))
+                    assert cm.psu_no_io(query) == expected, (
+                        buffer_pages, num_pe, selectivity, fudge
+                    )
+
+
 # -- psu-opt -------------------------------------------------------------------------
 def test_psu_opt_close_to_paper_values():
     """Paper: psu-opt ~ 10 / 30 / 70 for 0.1 / 1 / 5 % selectivity."""

@@ -35,6 +35,58 @@ from repro.runner.spec import point_from_payload
 from repro.simulation.driver import SimulationDriver
 
 
+# -- plan validation at expansion -----------------------------------------------------
+@pytest.mark.parametrize("topology_args, topology, fault, message", [
+    ((), None, "crash@1:pe=12:duration=1", "fault targets PE 12 but the system has 8 PEs"),
+    (("--topology", "racks=2"), (("racks", 2),), "crash@1:rack=3:duration=1",
+     "fault targets rack 3 but the topology has 2 rack(s)"),
+], ids=["pe", "rack"])
+def test_unrunnable_fault_plan_fails_at_expansion(monkeypatch, topology_args, topology,
+                                                  fault, message):
+    """A plan aimed at a PE or rack the system lacks is rejected while the
+    sweep expands, before any point reaches a worker."""
+    import re
+
+    import repro.runner.runner as runner_module
+    from repro.cli import main
+
+    def no_run(payload):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(runner_module, "execute_point", no_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--sizes", "8", "--joins", "2", "--time-limit", "2",
+              *topology_args, "--fault", fault, "--no-cache"])
+    assert str(excinfo.value) == f"invalid scenario: {message}"
+
+    spec = ScenarioSpec(
+        name="t", title="t", x_label="x",
+        sweeps=(Sweep(kind="timeline", scenario="homogeneous", strategies=("OPT-IO-CPU",),
+                      system_sizes=(8,), topologies=(topology,),
+                      failures=((parse_fault(fault),),)),),
+        max_simulated_time=2.0,
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec.points()
+
+
+def test_point_spec_validates_fault_targets():
+    from repro.runner import PointSpec
+
+    fields = dict(figure="f", series="s", x=8, kind="timeline", scenario="homogeneous",
+                  num_pe=8, seed=42, strategy="OPT-IO-CPU", max_simulated_time=2.0,
+                  timeline_window=1.0)
+    in_range = encode_failures([FaultEvent(time=1.0, kind="pe_crash", pe=7, duration=1.0)])
+    out_of_range = encode_failures([FaultEvent(time=1.0, kind="pe_crash", pe=8)])
+    PointSpec(**fields, failures=in_range)
+    with pytest.raises(ValueError, match="fault targets PE 8"):
+        PointSpec(**fields, failures=out_of_range)
+    with pytest.raises(ValueError, match="fault targets PE 8"):
+        point_from_payload(json.loads(json.dumps(dict(fields, failures=out_of_range))))
+    # An override that resizes the system defers the check to run time.
+    PointSpec(**fields, failures=out_of_range, config_overrides=(("num_pe", 9),))
+
+
 # -- plan layer ---------------------------------------------------------------------
 def test_fault_event_encode_decode_round_trip():
     events = (

@@ -27,7 +27,6 @@ from repro.scheduling import (
     ControlNode,
     CostModel,
     LeastUtilizedCpuPlacement,
-    LeastUtilizedMemoryPlacement,
 )
 from repro.sim import Environment
 
@@ -86,7 +85,7 @@ def test_node_classes_cover_contiguous_blocks():
     assert [config.node_class_name(pe) for pe in range(8)] == (
         ["fast"] * 4 + ["default"] * 4
     )
-    assert config.heterogeneous
+    assert config.mean_mips_factor == 1.5
     assert config.effective_cpu(0).mips == config.cpu.mips * 2.0
     assert config.effective_buffer_pages(0) == 2 * config.buffer.buffer_pages
     assert config.effective_cpu(4) is config.cpu  # remainder keeps baseline
@@ -104,7 +103,7 @@ def test_explicit_default_class_is_transparent():
     """Default-hardware classes return the *same objects* as the uniform
     config -- the engine cannot tell the two configs apart."""
     config = SystemConfig(num_pe=4, node_classes=(DEFAULT_CLASS,))
-    assert not config.heterogeneous
+    assert config.mean_mips_factor == 1.0
     for pe in range(4):
         assert config.effective_cpu(pe) is config.cpu
         assert config.effective_disk(pe) is config.disk
@@ -222,14 +221,6 @@ def test_psu_noio_uses_per_class_memory():
 
 
 # -- satellite 1: deterministic placement tie-break -----------------------------------
-def test_placement_fallback_sorts_before_slicing():
-    """Without a control node the fallback must take the *lowest* PE ids,
-    not the first ids in eligible-iteration order."""
-    unsorted_eligible = [7, 2, 9, 1]
-    assert LeastUtilizedCpuPlacement().select(2, unsorted_eligible, None) == [1, 2]
-    assert LeastUtilizedMemoryPlacement().select(2, unsorted_eligible, None) == [1, 2]
-
-
 def test_placement_ties_break_by_pe_index():
     env, config, pes, control = _hetero_system()
     control.collect_reports()  # all idle: ties everywhere

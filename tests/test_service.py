@@ -137,6 +137,32 @@ def test_submit_sweep_rejects_garbage_over_http(coordinator):
     assert excinfo.value.code == 400
 
 
+@pytest.mark.parametrize("topology, event", [
+    (None, {"pe": 12}),
+    ((("racks", 2),), {"rack": 3}),
+], ids=["pe", "rack"])
+def test_submit_sweep_rejects_unrunnable_fault_plan_over_http(coordinator, topology, event):
+    """A fault aimed at hardware the point lacks is a 400, and nothing is
+    enqueued -- not even the valid point submitted alongside it."""
+    from repro.faults.plan import FaultEvent, encode_failures
+
+    good = point_payload(timeline_point())
+    bad = dict(good, topology=topology, failures=encode_failures(
+        [FaultEvent(time=1.0, kind="pe_crash", duration=1.0, **event)]
+    ))
+    request = urllib.request.Request(
+        coordinator.url + "/sweeps",
+        data=json.dumps({"points": [good, bad]}).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    assert excinfo.value.code == 400
+    assert "fault targets" in excinfo.value.read().decode("utf-8")
+    assert coordinator.backend.task_ids() == []
+
+
 # -- sharded drain: stitching + streaming metrics ---------------------------------
 def test_sharded_sweep_streams_windows_and_stitches_identically(coordinator):
     point = timeline_point()
