@@ -25,8 +25,8 @@ sweeps).  ``--arrival {poisson,deterministic,mmpp,sine,step,trace}`` drives
 the sweep with a (possibly non-stationary) arrival process and records a
 windowed time series per run.
 
-Distributed sweeps shard a scenario's points across worker processes, either
-through a shared queue directory or through a long-lived HTTP coordinator::
+Distributed sweeps shard a scenario's points across worker processes
+through a shared queue directory::
 
     repro-lb dispatch figure5 --queue-dir /mnt/queue --replicates 5
     repro-lb worker --queue-dir /mnt/queue          # on each host
@@ -34,15 +34,9 @@ through a shared queue directory or through a long-lived HTTP coordinator::
     repro-lb experiment figure5 --replicates 5 \
         --distributed --queue-dir /mnt/queue --export csv
 
-    repro-lb serve --port 8723                      # coordinator host
-    repro-lb worker --backend http --url http://coord:8723   # any host
-    repro-lb experiment figure5 --url http://coord:8723 --export csv
-    curl http://coord:8723/metrics                  # Prometheus scrape
-
-``experiment``/``sweep`` with a queue target (``--queue-dir`` or ``--url``)
-enqueue any missing points, wait for workers to drain the queue and fold the
-results in expansion order -- output is byte-identical to a local
-``--workers N`` run over either backend.
+``experiment``/``sweep`` with ``--queue-dir`` enqueue any missing points,
+wait for workers to drain the queue and fold the results in expansion
+order -- output is byte-identical to a local ``--workers N`` run.
 """
 
 from __future__ import annotations
@@ -60,9 +54,8 @@ from repro.runner import (
     Sweep,
     available_scenarios,
     build_scenario,
-    make_backend,
 )
-from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
+from repro.runner.queue import DEFAULT_LEASE_SECONDS, FilesystemBackend
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
 from repro.scheduling.strategy import strategy_names
 from repro.simulation.driver import SimulationDriver
@@ -127,8 +120,8 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "run through a shared work queue instead of a local process pool "
-            "(requires --queue-dir or --url; points are executed by "
-            "`repro-lb worker` processes draining that queue)"
+            "(requires --queue-dir; points are executed by `repro-lb worker` "
+            "processes draining that queue)"
         ),
     )
     parser.add_argument(
@@ -136,15 +129,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="work-queue directory for --distributed (implies --distributed)",
-    )
-    parser.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help=(
-            "`repro-lb serve` coordinator URL (implies --distributed; wins "
-            "over --queue-dir when both are given)"
-        ),
     )
     parser.add_argument(
         "--queue-timeout",
@@ -301,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument("figure", choices=available_scenarios(),
                           help="registered scenario to shard")
-    dispatch.add_argument("--queue-dir", default=None, metavar="DIR",
+    dispatch.add_argument("--queue-dir", required=True, metavar="DIR",
                           help="work-queue directory (shared across worker hosts)")
-    dispatch.add_argument("--url", default=None, metavar="URL",
-                          help="`repro-lb serve` coordinator URL (instead of --queue-dir)")
     dispatch.add_argument("--joins", type=int, default=None, help="measured joins per point")
     dispatch.add_argument("--sizes", type=int, nargs="*", default=None, help="system sizes")
     dispatch.add_argument("--time-limit", type=float, default=None,
@@ -318,15 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="claim and execute work-queue tasks until the queue drains",
     )
-    worker.add_argument("--queue-dir", default=None, metavar="DIR",
+    worker.add_argument("--queue-dir", required=True, metavar="DIR",
                         help="work-queue directory to drain")
-    worker.add_argument("--backend", choices=("fs", "http"), default=None,
-                        help=(
-                            "queue backend kind (inferred from --queue-dir/--url "
-                            "when omitted)"
-                        ))
-    worker.add_argument("--url", default=None, metavar="URL",
-                        help="`repro-lb serve` coordinator URL (for --backend http)")
     worker.add_argument("--max-tasks", type=_replicate_count, default=None, metavar="N",
                         help="exit after claiming at most N tasks (default: drain)")
     worker.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
@@ -363,40 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "(inspect with python -m pstats)")
 
     status = sub.add_parser("status", help="summarise a work queue's task states")
-    status.add_argument("--queue-dir", default=None, metavar="DIR",
+    status.add_argument("--queue-dir", required=True, metavar="DIR",
                         help="work-queue directory to inspect")
-    status.add_argument("--url", default=None, metavar="URL",
-                        help="`repro-lb serve` coordinator URL (instead of --queue-dir)")
     status.add_argument("--lease", type=float, default=DEFAULT_LEASE_SECONDS,
                         metavar="SECONDS",
                         help="lease timeout used to classify running vs stale leases")
     status.add_argument("--json", action="store_true",
                         help="print machine-readable JSON instead of the text summary")
-
-    serve = sub.add_parser(
-        "serve",
-        help=(
-            "run the HTTP coordinator: an in-memory work queue + result store "
-            "with /sweeps submission and a Prometheus /metrics endpoint"
-        ),
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default %(default)s)")
-    serve.add_argument("--port", type=int, default=None,
-                       help="bind port (default 8723; 0 picks a free port)")
-    serve.add_argument("--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-                       metavar="SECONDS",
-                       help="lease/heartbeat timeout handed to connecting workers")
-    serve.add_argument("--max-retries", type=_replicate_count, default=3, metavar="N",
-                       help="attempts per task before it is marked failed")
-    serve.add_argument(
-        "--shard-windows", type=int, default=0, metavar="W",
-        help=(
-            "shard long timeline points into W-window prefix subtasks so "
-            "/metrics streams per-window gauges while the sweep runs "
-            "(0 disables sharding)"
-        ),
-    )
     return parser
 
 
@@ -548,28 +496,9 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _queue_target(args: argparse.Namespace, *, flag_hint: str) -> str:
-    """Resolve a subcommand's queue target (URL wins over directory)."""
-    backend = getattr(args, "backend", None)
-    url = getattr(args, "url", None)
-    queue_dir = getattr(args, "queue_dir", None)
-    if backend == "http" and url is None:
-        raise SystemExit("--backend http requires --url URL")
-    if backend == "fs" and queue_dir is None:
-        raise SystemExit("--backend fs requires --queue-dir DIR")
-    if backend == "fs":
-        return queue_dir
-    if url is not None:
-        return url
-    if queue_dir is not None:
-        return queue_dir
-    raise SystemExit(f"{flag_hint} requires --queue-dir DIR or --url URL")
-
-
 def _run_dispatch(args: argparse.Namespace) -> int:
     from repro.runner import DistributedRunner
 
-    target = _queue_target(args, flag_hint="dispatch")
     spec = _experiment_spec(args)
     if args.replicates > 1:
         spec = spec.with_replicates(args.replicates)
@@ -580,15 +509,14 @@ def _run_dispatch(args: argparse.Namespace) -> int:
     if not points:
         print(f"scenario {spec.name!r} has no simulation points to dispatch")
         return 0
-    runner = DistributedRunner(target, max_attempts=args.max_retries)
+    runner = DistributedRunner(args.queue_dir, max_attempts=args.max_retries)
     summary = runner.dispatch(points)
     print(
         f"queue {runner.queue.describe()}: {summary.enqueued} task(s) enqueued, "
         f"{summary.already_queued} already queued, {summary.already_done} already done "
         f"({len(points)} point(s), {summary.total} unique task(s))"
     )
-    drain_flag = "--url" if str(target).startswith(("http://", "https://")) else "--queue-dir"
-    print(f"drain with: repro-lb worker {drain_flag} {target}", file=sys.stderr)
+    print(f"drain with: repro-lb worker --queue-dir {args.queue_dir}", file=sys.stderr)
     return 0
 
 
@@ -603,8 +531,7 @@ def _run_worker(args: argparse.Namespace) -> int:
         raise SystemExit(128 + signum)
 
     signal.signal(signal.SIGTERM, terminate)
-    target = _queue_target(args, flag_hint="worker")
-    queue = make_backend(target, lease_seconds=args.lease)
+    queue = FilesystemBackend(args.queue_dir, lease_seconds=args.lease)
     worker = Worker(queue, worker_id=args.worker_id, poll_interval=args.poll)
     print(f"worker {worker.worker_id}: draining {queue.describe()}", file=sys.stderr)
     stats = worker.run(max_tasks=args.max_tasks)
@@ -618,32 +545,13 @@ def _run_worker(args: argparse.Namespace) -> int:
 def _run_status(args: argparse.Namespace) -> int:
     import json as json_module
 
-    target = _queue_target(args, flag_hint="status")
-    queue = make_backend(target, lease_seconds=args.lease)
+    queue = FilesystemBackend(args.queue_dir, lease_seconds=args.lease)
     status = queue.status()
     if args.json:
         print(json_module.dumps(status.to_dict(), indent=2, sort_keys=True))
     else:
         print(f"queue {queue.describe()}")
         print(status.render())
-    return 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    from repro.service import Coordinator
-    from repro.service.coordinator import DEFAULT_PORT
-
-    coordinator = Coordinator(
-        lease_seconds=args.lease,
-        max_attempts=args.max_retries,
-        shard_windows=args.shard_windows,
-    )
-    port = DEFAULT_PORT if args.port is None else args.port
-    try:
-        coordinator.serve_forever(host=args.host, port=port)
-    except KeyboardInterrupt:
-        print("coordinator: interrupted, shutting down", file=sys.stderr)
-        coordinator.stop()
     return 0
 
 
@@ -958,8 +866,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_worker(args)
     if args.command == "status":
         return _run_status(args)
-    if args.command == "serve":
-        return _run_serve(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -1,7 +1,6 @@
 """Metrics collection and summary statistics."""
 
 from repro.metrics.collector import MetricsCollector, UtilizationSnapshot
-from repro.metrics.prometheus import MetricFamily, render_families, validate_exposition
 from repro.metrics.timeline import (
     Timeline,
     TimelineCollector,
@@ -16,7 +15,4 @@ __all__ = [
     "TimelineCollector",
     "TimelineWindow",
     "aggregate_timelines",
-    "MetricFamily",
-    "render_families",
-    "validate_exposition",
 ]

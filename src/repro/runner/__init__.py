@@ -13,30 +13,23 @@ The experiment layer is split into three pieces:
   spec into independent points and fans them out over a
   ``ProcessPoolExecutor`` (serial fallback for ``workers=1``), with an
   optional on-disk :class:`~repro.runner.cache.ResultCache`.
-* :mod:`repro.runner.backends` / :mod:`repro.runner.worker` /
+* :mod:`repro.runner.queue` / :mod:`repro.runner.worker` /
   :mod:`repro.runner.distributed` -- the multi-host layer: the
-  :class:`~repro.runner.backends.base.QueueBackend` protocol with
-  filesystem, in-memory and HTTP-coordinator implementations, the
-  :class:`~repro.runner.worker.Worker` daemon that claims and executes
-  tasks over any of them, and the
-  :class:`~repro.runner.distributed.DistributedRunner` coordinator that
-  enqueues a spec and folds the results in expansion order.
+  :class:`~repro.runner.queue.FilesystemBackend` work queue in a
+  (possibly shared) directory, the :class:`~repro.runner.worker.Worker`
+  daemon that claims and executes its tasks, and the
+  :class:`~repro.runner.distributed.DistributedRunner` that enqueues a
+  spec and folds the results in expansion order.
 
 :class:`~repro.runner.config.RunnerConfig` is the single construction path
 from user-facing options (CLI flags, :func:`repro.experiments.base.run_scenario`)
 to the serial / process-pool / distributed runner they describe.
 """
 
-from repro.runner.backends import (
-    FilesystemBackend,
-    HttpBackend,
-    MemoryBackend,
-    QueueBackend,
-    make_backend,
-)
 from repro.runner.cache import ResultCache, default_cache_dir, point_key
 from repro.runner.config import RunnerConfig
 from repro.runner.distributed import DistributedRunner
+from repro.runner.queue import FilesystemBackend
 from repro.runner.registry import (
     available_scenarios,
     build_scenario,
@@ -56,19 +49,15 @@ from repro.runner.spec import (
     derive_seed,
     expand,
     point_from_payload,
-    shard_timeline_point,
 )
 from repro.runner.worker import Worker, WorkerStats
 
 __all__ = [
     "DistributedRunner",
     "FilesystemBackend",
-    "HttpBackend",
-    "MemoryBackend",
     "ParallelRunner",
     "PointExecutionError",
     "PointSpec",
-    "QueueBackend",
     "ResultCache",
     "RunnerConfig",
     "ScenarioSpec",
@@ -83,9 +72,7 @@ __all__ = [
     "execute_point_checked",
     "expand",
     "get_scenario",
-    "make_backend",
     "point_from_payload",
     "point_key",
     "register_scenario",
-    "shard_timeline_point",
 ]

@@ -64,10 +64,9 @@ def write_json_atomic(path: Path, payload: dict) -> None:
 def point_key(point: PointSpec) -> str:
     """The host-independent cache/task key of a simulation point.
 
-    Every result store and every queue backend -- filesystem, in-memory,
-    HTTP -- addresses a point by this key, so a task id computed by a
-    dispatching client names the same work on the coordinator and the same
-    result file in a shared cache.
+    Every result store and the work queue address a point by this key, so a
+    task id computed on the dispatching host names the same work on every
+    worker host and the same result file in a shared cache.
     """
     payload = {"version": CACHE_FORMAT_VERSION, "point": point.cache_payload()}
     canonical = json.dumps(payload, sort_keys=True, default=str)

@@ -1,17 +1,16 @@
 """`RunnerConfig`: the single construction path for every runner kind.
 
 The runner options -- ``--workers/--no-cache/--cache-dir/--distributed/
---queue-dir/--queue-timeout/--max-retries/--url`` -- answer one question:
-which runner do these flags mean?  This dataclass is that decision tree,
-once: build a config (directly, or from parsed CLI args via
-:meth:`from_args`), then :meth:`make_runner` yields the serial /
-process-pool / distributed runner it describes, and :meth:`make_backend`
-the queue backend for worker/status-style commands.  CLI subcommands and
+--queue-dir/--queue-timeout/--max-retries`` -- answer one question: which
+runner do these flags mean?  This dataclass is that decision tree, once:
+build a config (directly, or from parsed CLI args via :meth:`from_args`),
+then :meth:`make_runner` yields the serial / process-pool / distributed
+runner it describes.  CLI subcommands and
 :func:`repro.experiments.base.run_scenario` both take a config.
 
-Precedence: a queue target (``url`` wins over ``queue_dir``) selects a
-:class:`~repro.runner.distributed.DistributedRunner` whose backend owns
-the result store (the local cache settings are meaningless there --
+Precedence: a ``queue_dir`` selects a
+:class:`~repro.runner.distributed.DistributedRunner` whose queue owns the
+result store (the local cache settings are meaningless there --
 :meth:`from_args` warns when they are set); otherwise a local
 :class:`~repro.runner.runner.ParallelRunner` over ``workers`` processes
 with the configured cache.  Either way results fold in expansion order,
@@ -21,16 +20,13 @@ so the choice never changes tables, aggregates or exports.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
-
-from repro.runner.backends.base import DEFAULT_LEASE_SECONDS
 
 if TYPE_CHECKING:
     import argparse
     import os
 
-    from repro.runner.backends.base import QueueBackend
     from repro.runner.runner import ParallelRunner
 
 __all__ = ["RunnerConfig"]
@@ -48,44 +44,30 @@ class RunnerConfig:
     no_cache: bool = False
     #: Cache directory override (``None`` = ``$REPRO_CACHE_DIR`` default).
     cache_dir: Optional[Union[str, "os.PathLike"]] = None
-    #: Filesystem queue directory (selects a distributed runner).
+    #: Work-queue directory (selects a distributed runner).
     queue_dir: Optional[Union[str, "os.PathLike"]] = None
-    #: Coordinator URL (selects a distributed runner over HTTP; wins over
-    #: ``queue_dir`` when both are set).
-    url: Optional[str] = None
     #: Give up waiting for workers after this long (``None`` = forever).
     queue_timeout: Optional[float] = None
-    #: Attempts per newly enqueued task (``None`` = backend default of 3).
+    #: Attempts per newly enqueued task (``None`` = queue default of 3).
     max_retries: Optional[int] = None
-    #: Lease/heartbeat timeout for filesystem queues (HTTP backends take
-    #: the coordinator's value).
-    lease_seconds: float = DEFAULT_LEASE_SECONDS
-    #: Floor of the distributed wait loop's backoff.
-    poll_interval: float = 0.5
 
     @property
     def distributed(self) -> bool:
-        return self.url is not None or self.queue_dir is not None
-
-    @property
-    def queue_target(self) -> Union[str, "os.PathLike", None]:
-        """The backend locator (URL wins over directory), if any."""
-        return self.url if self.url is not None else self.queue_dir
+        return self.queue_dir is not None
 
     @classmethod
     def from_args(cls, args: "argparse.Namespace") -> "RunnerConfig":
         """Build from parsed CLI flags (the ``_add_runner_arguments`` set).
 
         Validates the flag combinations the old decision tree enforced:
-        ``--distributed`` without a queue target is an error, and cache
+        ``--distributed`` without ``--queue-dir`` is an error, and cache
         flags are warned about (and ignored) on distributed runs, whose
-        results live in the backend's own store.
+        results live in the queue's own store.
         """
-        url = getattr(args, "url", None)
         queue_dir = getattr(args, "queue_dir", None)
-        if getattr(args, "distributed", False) and url is None and queue_dir is None:
-            raise SystemExit("--distributed requires --queue-dir DIR or --url URL")
-        if (url is not None or queue_dir is not None) and (
+        if getattr(args, "distributed", False) and queue_dir is None:
+            raise SystemExit("--distributed requires --queue-dir DIR")
+        if queue_dir is not None and (
             getattr(args, "no_cache", False) or getattr(args, "cache_dir", None)
         ):
             print(
@@ -98,37 +80,19 @@ class RunnerConfig:
             no_cache=getattr(args, "no_cache", False),
             cache_dir=getattr(args, "cache_dir", None),
             queue_dir=queue_dir,
-            url=url,
             queue_timeout=getattr(args, "queue_timeout", None),
             max_retries=getattr(args, "max_retries", None),
-            lease_seconds=getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS,
         )
-
-    def with_updates(self, **updates: object) -> "RunnerConfig":
-        return replace(self, **updates)
-
-    def make_backend(self) -> "QueueBackend":
-        """The queue backend this config points at (distributed configs only)."""
-        from repro.runner.backends import make_backend
-
-        target = self.queue_target
-        if target is None:
-            raise ValueError("config has no queue target (set url or queue_dir)")
-        return make_backend(target, lease_seconds=self.lease_seconds)
 
     def make_runner(self) -> "ParallelRunner":
         """The execution driver this config describes."""
         if self.distributed:
             from repro.runner.distributed import DistributedRunner
 
-            kwargs = {
-                "timeout": self.queue_timeout,
-                "poll_interval": self.poll_interval,
-                "lease_seconds": self.lease_seconds,
-            }
+            kwargs = {"timeout": self.queue_timeout}
             if self.max_retries is not None:
                 kwargs["max_attempts"] = self.max_retries
-            return DistributedRunner(self.queue_target, **kwargs)
+            return DistributedRunner(self.queue_dir, **kwargs)
         from repro.runner.cache import ResultCache
         from repro.runner.runner import ParallelRunner
 

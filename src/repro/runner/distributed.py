@@ -1,22 +1,22 @@
-"""Distributed sweep coordinator: enqueue, wait, fold.
+"""Distributed sweep driver: enqueue, wait, fold.
 
 :class:`DistributedRunner` is a drop-in replacement for
 :class:`~repro.runner.runner.ParallelRunner` whose ``run_points`` ships the
-work through a :class:`~repro.runner.backends.base.QueueBackend` instead of
-a local process pool: it enqueues every not-yet-finished point as a durable
+work through a :class:`~repro.runner.queue.FilesystemBackend` instead of a
+local process pool: it enqueues every not-yet-finished point as a durable
 task, waits for independent worker processes (``repro-lb worker``, on this
-or any host sharing the queue directory or coordinator URL) to drain the
-queue, and folds the stored results back **in expansion order** -- so
-tables, aggregates and exports are byte-identical to a local run of the
-same spec at any worker count, over any backend.
+or any host sharing the queue directory) to drain the queue, and folds the
+stored results back **in expansion order** -- so tables, aggregates and
+exports are byte-identical to a local run of the same spec at any worker
+count.
 
-The coordinator is resumable by construction: enqueueing skips tasks that
-are already done, and results live in the backend's result store keyed by
-the host-independent cache key, so re-running an interrupted coordinator
-(or re-dispatching the same scenario) only waits for the points that are
+The runner is resumable by construction: enqueueing skips tasks that are
+already done, and results live in the queue's result store keyed by the
+host-independent cache key, so re-running an interrupted sweep (or
+re-dispatching the same scenario) only waits for the points that are
 still missing.  The wait loop polls with capped exponential backoff (see
-:meth:`QueueBackend.wait`), so an idle coordinator does not hammer a shared
-mount or a remote coordinator while workers grind through long points.
+:meth:`FilesystemBackend.wait`), so an idle runner does not hammer a
+shared mount while workers grind through long points.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.runner.backends import make_backend
-from repro.runner.backends.base import (
+from repro.runner.queue import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
     EnqueueSummary,
-    QueueBackend,
+    FilesystemBackend,
 )
 from repro.runner.runner import ParallelRunner, PointExecutionError
 from repro.runner.spec import PointSpec
@@ -43,24 +42,27 @@ class DistributedRunner(ParallelRunner):
 
     Inherits ``run``/``run_aggregated`` (spec expansion, result folding,
     aggregation) from :class:`ParallelRunner`; only point execution is
-    replaced.  The first argument names the backend: an existing
-    :class:`QueueBackend`, an ``http(s)://`` coordinator URL, or a queue
-    directory.  ``timeout=None`` waits indefinitely -- pass a bound when no
-    worker may be running (e.g. in CI) so a dead queue fails loudly instead
-    of hanging.
+    replaced.  The first argument is a queue directory or an existing
+    :class:`FilesystemBackend` (whose own ``lease_seconds`` then applies).
+    ``timeout=None`` waits indefinitely -- pass a bound when no worker may
+    be running (e.g. in CI) so a dead queue fails loudly instead of hanging.
     """
 
     def __init__(
         self,
-        queue_dir: Union[str, Path, QueueBackend],
+        queue_dir: Union[str, Path, FilesystemBackend],
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         poll_interval: float = 0.5,
         timeout: Optional[float] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ):
-        # The backend's result store doubles as this runner's cache, so
+        # The queue's result store doubles as this runner's cache, so
         # `run` inherits hit/miss accounting and any pre-seeded results.
-        queue = make_backend(queue_dir, lease_seconds=lease_seconds)
+        queue = (
+            queue_dir
+            if isinstance(queue_dir, FilesystemBackend)
+            else FilesystemBackend(queue_dir, lease_seconds=lease_seconds)
+        )
         super().__init__(workers=1, cache=queue.results)
         self.queue = queue
         self.max_attempts = max_attempts

@@ -1,12 +1,11 @@
 """Work-queue worker daemon.
 
-A :class:`Worker` drains any :class:`~repro.runner.backends.base.QueueBackend`
--- the shared-directory filesystem queue, or an HTTP coordinator reached
-with ``--backend http --url`` -- and is oblivious to the transport: it
-atomically claims one task at a time, executes the point through the same
-``execute_point``/``to_dict`` path as :class:`~repro.runner.runner.ParallelRunner`
-(so results are bit-identical no matter which driver ran them), stores the
-result in the queue's result store and marks the task done.
+A :class:`Worker` drains a :class:`~repro.runner.queue.FilesystemBackend`
+(a local or shared-mount queue directory): it atomically claims one task
+at a time, executes the point through the same ``execute_point``/``to_dict``
+path as :class:`~repro.runner.runner.ParallelRunner` (so results are
+bit-identical no matter which driver ran them), stores the result in the
+queue's result store and marks the task done.
 
 While a task runs, a daemon thread refreshes the lease heartbeat every
 ``lease_seconds / 4``; if the worker dies, its lease goes stale and another
@@ -17,12 +16,8 @@ budget is exhausted the queue reports it as failed.
 
 Interruption (SIGTERM via the CLI handler, or Ctrl-C) releases the current
 lease without consuming a retry, so a killed worker's task is re-run -- not
-lost, and not double-counted -- by whoever claims it next.
-
-Transport errors and filesystem hiccups look alike here:
-:class:`urllib.error.URLError` subclasses :class:`OSError`, so the
-heartbeat thread rides out a coordinator restart exactly like a flaky
-shared mount.
+lost, and not double-counted -- by whoever claims it next.  The heartbeat
+thread rides out transient ``OSError`` hiccups of a flaky shared mount.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.runner.backends.base import ClaimedTask, QueueBackend
+from repro.runner.queue import ClaimedTask, FilesystemBackend
 from repro.runner.runner import PointExecutionError, execute_point_checked
 from repro.simulation.results import SimulationResult
 
@@ -57,7 +52,7 @@ class WorkerStats:
 class _Heartbeat(threading.Thread):
     """Refreshes one task's lease until stopped."""
 
-    def __init__(self, queue: QueueBackend, task_id: str, worker_id: str, interval: float):
+    def __init__(self, queue: FilesystemBackend, task_id: str, worker_id: str, interval: float):
         super().__init__(name=f"heartbeat-{task_id[:8]}", daemon=True)
         self._queue = queue
         self._task_id = task_id
@@ -85,7 +80,7 @@ class Worker:
 
     def __init__(
         self,
-        queue: QueueBackend,
+        queue: FilesystemBackend,
         worker_id: Optional[str] = None,
         poll_interval: float = 0.5,
     ):
@@ -106,20 +101,19 @@ class Worker:
         if max_tasks is not None and max_tasks < 1:
             raise ValueError(f"max_tasks must be >= 1, got {max_tasks}")
         stats = WorkerStats()
-        # Memo of terminal task ids, filled in by claim_next's scans: repeat
-        # scans of a large queue skip the finished tasks instead of
-        # re-reading every record, and the drain check below is a cheap
-        # directory listing against the memo instead of a full status scan.
+        # Memo of terminal task ids, filled in by claim_next's scans: every
+        # scan adds the done, failed and unreadable tasks it meets, so repeat
+        # scans of a large queue skip them instead of re-reading every
+        # record, and the drain check below is a directory listing against
+        # the memo instead of a full status scan.
         finished: set = set()
         while max_tasks is None or stats.claimed < max_tasks:
             claimed = self.queue.claim_next(self.worker_id, finished)
             if claimed is None:
-                # Drained when every task is done or failed.  The memo is the
-                # cheap local-scan check; backends that claim server-side
-                # (HTTP) never fill it, so fall back to one status probe.
+                # Drained when every task is done or failed.  Otherwise some
+                # task is leased elsewhere: the next scan takes it over if
+                # its lease goes stale, or memoises it once it finishes.
                 if len(finished) >= len(self.queue.task_ids()):
-                    break
-                if self.queue.status().unfinished == 0:
                     break
                 time.sleep(self.poll_interval)
                 continue

@@ -1,10 +1,8 @@
-"""Backend-conformance suite: one contract, every ``QueueBackend``.
+"""Queue-conformance suite: the contract of ``FilesystemBackend``.
 
-Each test runs against the filesystem backend and (through a live
-in-process coordinator) the HTTP backend, pinning the semantics the worker
-daemon and the distributed runner rely on: exclusive claims, heartbeat
-expiry, immediate takeover from dead local processes, retry budgets,
-interrupt-safe lease release and resume-after-kill.
+Pins the semantics the worker daemon and the distributed runner rely on:
+exclusive claims, heartbeat expiry, immediate takeover from dead local
+processes, retry budgets, interrupt-safe lease release and resume-after-kill.
 """
 
 import socket
@@ -20,8 +18,7 @@ from repro.runner import (
     PointSpec,
     Worker,
 )
-from repro.runner.backends import FilesystemBackend, HttpBackend, make_backend
-from repro.service import Coordinator
+from repro.runner.queue import FilesystemBackend
 
 
 def make_point(**overrides) -> PointSpec:
@@ -32,25 +29,16 @@ def make_point(**overrides) -> PointSpec:
     return PointSpec(**fields)
 
 
-@pytest.fixture(params=["filesystem", "http"])
-def backend_factory(request, tmp_path):
-    """A factory yielding fresh conforming backends (one kind per run)."""
-    coordinators = []
+@pytest.fixture(params=["filesystem"])
+def backend_factory(tmp_path):
+    """A factory yielding fresh queues, each in its own directory."""
     counter = [0]
 
     def make(lease_seconds: float = 60.0):
         counter[0] += 1
-        if request.param == "filesystem":
-            return FilesystemBackend(
-                tmp_path / f"queue{counter[0]}", lease_seconds=lease_seconds
-            )
-        coordinator = Coordinator(lease_seconds=lease_seconds)
-        coordinators.append(coordinator)
-        return HttpBackend(coordinator.start())
+        return FilesystemBackend(tmp_path / f"queue{counter[0]}", lease_seconds=lease_seconds)
 
-    yield make
-    for coordinator in coordinators:
-        coordinator.stop()
+    return make
 
 
 def dead_pid() -> int:
@@ -129,9 +117,8 @@ def test_dead_local_process_lease_is_stale_immediately(backend_factory):
     point = make_point()
     backend.enqueue([point])
     task_id = backend.task_id(point)
-    # The lease names a dead pid on this very host (for the HTTP backend:
-    # the coordinator's host, which the test shares), so a crashed worker
-    # is reported stale -- and reclaimed -- without waiting out the lease.
+    # The lease names a dead pid on this very host, so a crashed worker is
+    # reported stale -- and reclaimed -- without waiting out the lease.
     assert backend.try_claim(task_id, "w1", host=socket.gethostname(), pid=dead_pid())
     assert backend.lease_state(task_id) == "stale"
     status = backend.status([task_id])
@@ -220,7 +207,7 @@ def test_wait_backs_off_exponentially_and_resets_on_progress(backend_factory, mo
                 backend.task_id(slow_point), slow_point, None, worker="w1"
             )
 
-    monkeypatch.setattr("repro.runner.backends.base.time.sleep", fake_sleep)
+    monkeypatch.setattr("repro.runner.queue.time.sleep", fake_sleep)
     backend.wait(
         [backend.task_id(done_point), backend.task_id(slow_point)],
         poll_interval=0.1,
@@ -232,7 +219,7 @@ def test_wait_backs_off_exponentially_and_resets_on_progress(backend_factory, mo
     assert sleeps[4] == 0.1
 
 
-# -- the distributed runner over any backend --------------------------------------
+# -- the distributed runner over a shared queue ----------------------------------
 def test_distributed_runner_is_backend_agnostic(backend_factory):
     backend = backend_factory()
     points = [make_point(seed=1), make_point(seed=2)]
@@ -249,118 +236,3 @@ def test_distributed_runner_is_backend_agnostic(backend_factory):
     distributed = runner.run_points(points)
     thread.join(timeout=60.0)
     assert distributed == local
-
-
-def test_make_backend_resolves_targets(tmp_path):
-    filesystem = make_backend(tmp_path / "queue")
-    assert isinstance(filesystem, FilesystemBackend)
-    assert make_backend(filesystem) is filesystem
-    coordinator = Coordinator(lease_seconds=7.5)
-    try:
-        http = make_backend(coordinator.start())
-        assert isinstance(http, HttpBackend)
-        assert http.lease_seconds == 7.5  # agreed with the server, not the CLI
-    finally:
-        coordinator.stop()
-
-
-# -- HTTP transport retries --------------------------------------------------------
-class _FakeHttpResponse:
-    def __init__(self, payload):
-        import json as _json
-
-        self._body = _json.dumps(payload).encode("utf-8")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self):
-        return self._body
-
-
-def _scripted_backend(monkeypatch, script):
-    """An HttpBackend whose transport replays ``script`` per non-config call.
-
-    ``script`` entries are exceptions (raised) or payload dicts (returned);
-    ``GET /config`` is always answered so construction succeeds.  Returns
-    (backend, calls, sleeps) where ``calls`` counts non-config round trips
-    and ``sleeps`` records every backoff duration (real sleeping disabled).
-    """
-    import urllib.request
-
-    calls = []
-    sleeps = []
-
-    def fake_urlopen(request, timeout=None):
-        if request.full_url.endswith("/config"):
-            return _FakeHttpResponse({"lease_seconds": 60.0, "max_attempts": 3})
-        calls.append(request.full_url)
-        action = script.pop(0)
-        if isinstance(action, BaseException):
-            raise action
-        return _FakeHttpResponse(action)
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setattr(time, "sleep", lambda seconds: sleeps.append(seconds))
-    return HttpBackend("http://fake-coordinator:0"), calls, sleeps
-
-
-def _http_error(code):
-    import io
-    import urllib.error
-
-    return urllib.error.HTTPError("http://fake", code, "err", {}, io.BytesIO(b""))
-
-
-def test_http_retries_connection_resets_with_backoff(monkeypatch):
-    import urllib.error
-
-    script = [
-        urllib.error.URLError(ConnectionResetError("reset")),
-        urllib.error.URLError(ConnectionResetError("reset")),
-        {"ok": True},
-    ]
-    backend, calls, sleeps = _scripted_backend(monkeypatch, script)
-    assert backend.heartbeat("t1", "w1") is True
-    assert len(calls) == 3
-    # Jittered exponential backoff: ~0.1 s then ~0.8 s (each +/-50%).
-    assert len(sleeps) == 2
-    assert 0.05 <= sleeps[0] <= 0.15
-    assert 0.4 <= sleeps[1] <= 1.2
-
-
-def test_http_retries_502_and_503(monkeypatch):
-    script = [_http_error(502), _http_error(503), {"attempts": 2}]
-    backend, calls, sleeps = _scripted_backend(monkeypatch, script)
-    assert backend.record_failure("t1", "w1", "boom") == 2
-    assert len(calls) == 3
-    assert len(sleeps) == 2
-
-
-def test_http_4xx_is_fatal_without_retry(monkeypatch):
-    import urllib.error
-
-    script = [_http_error(400)]
-    backend, calls, sleeps = _scripted_backend(monkeypatch, script)
-    with pytest.raises(urllib.error.URLError, match="returned 400"):
-        backend.heartbeat("t1", "w1")
-    assert len(calls) == 1  # no second attempt
-    assert sleeps == []
-
-
-def test_http_persistent_failure_raises_after_three_attempts(monkeypatch):
-    import urllib.error
-
-    script = [
-        urllib.error.URLError("refused"),
-        urllib.error.URLError("refused"),
-        urllib.error.URLError("refused"),
-    ]
-    backend, calls, sleeps = _scripted_backend(monkeypatch, script)
-    with pytest.raises(urllib.error.URLError):
-        backend.heartbeat("t1", "w1")
-    assert len(calls) == 3
-    assert len(sleeps) == 2

@@ -1,4 +1,4 @@
-"""Tests for the distributed work queue, worker daemon and coordinator."""
+"""Tests for the distributed work queue, worker daemon and distributed runner."""
 
 import dataclasses
 import json
@@ -20,7 +20,7 @@ from repro.runner import (
     Worker,
     point_from_payload,
 )
-from repro.runner.backends.base import DEFAULT_MAX_ATTEMPTS
+from repro.runner.queue import DEFAULT_MAX_ATTEMPTS
 
 
 def tiny_spec(strategies=("OPT-IO-CPU",), **kwargs) -> ScenarioSpec:
@@ -242,7 +242,7 @@ def test_interrupted_worker_releases_lease_without_burning_a_retry(tmp_path, mon
     assert queue.status().all_done
 
 
-# -- coordinator ------------------------------------------------------------------
+# -- distributed runner -----------------------------------------------------------
 def drain_in_thread(queue, **kwargs):
     thread = threading.Thread(
         target=lambda: Worker(queue, poll_interval=0.02, **kwargs).run(), daemon=True
@@ -305,7 +305,7 @@ def test_distributed_runner_resumes_from_partial_queue(tmp_path):
     runner = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
     runner.dispatch(spec.points())
     Worker(runner.queue, worker_id="w1", poll_interval=0.02).run(max_tasks=1)
-    # Coordinator restarted later: only the missing point is outstanding.
+    # Runner restarted later: only the missing point is outstanding.
     resumed = DistributedRunner(tmp_path / "queue", timeout=120.0, poll_interval=0.02)
     summary = resumed.dispatch(spec.points())
     assert summary.already_done == 1 and summary.already_queued == 1
@@ -336,7 +336,7 @@ def test_unreadable_task_record_is_terminal_not_pending(tmp_path):
     status = queue.status()
     assert status.total == 2 and status.failed == 1
     assert "unreadable" in status.failures[0]["last_error"]
-    # Workers and coordinators must not wait on it forever.
+    # Workers and the distributed runner must not wait on it forever.
     stats = Worker(queue, worker_id="w1", poll_interval=0.02).run()
     assert stats.executed == 1
     queue.wait(queue.task_ids(), poll_interval=0.02, timeout=5.0)

@@ -311,3 +311,28 @@ def test_cache_concurrent_writers_never_interleave(tmp_path):
     assert final is not None and final.simulated_seconds in (1.0, 2.0)
     # No temp files left behind.
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_runner_import_loads_no_network_modules():
+    # The benchmark's setup time pays for `import repro.runner.runner`; the
+    # runner layer is pure simulation plus a filesystem queue, so no HTTP
+    # client or server module may ride along on that import.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, repro.runner.runner; "
+        "print(' '.join(sorted(m for m in ('urllib.request', 'http.client', "
+        "'http.server') if m in sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert loaded == []

@@ -1,13 +1,21 @@
 """Tests for windowed timeline metrics, the timeline point kind and the
 dynamic scenario family (perturbed sweeps ride along)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments.scenarios import homogeneous_config
 from repro.metrics import Timeline, TimelineWindow, aggregate_timelines
-from repro.runner import ParallelRunner, ResultCache, ScenarioSpec, Sweep, build_scenario
+from repro.runner import (
+    ParallelRunner,
+    PointSpec,
+    ResultCache,
+    ScenarioSpec,
+    Sweep,
+    build_scenario,
+)
 from repro.runner.runner import run_point_spec
 from repro.runner.spec import DEFAULT_TIMELINE_WINDOW
 from repro.simulation.driver import SimulationDriver
@@ -291,6 +299,22 @@ def test_timeline_point_identical_across_worker_counts():
     for left, right in zip(serial.points, parallel.points):
         assert left.result.to_json() == right.result.to_json()
         assert left.result.timeline is not None
+
+
+def test_shard_prefix_runs_equal_full_run_window_prefixes():
+    # A deterministic run cut off at simulated time t yields exactly the
+    # first windows of the full run: nothing before t depends on the horizon.
+    point = PointSpec(figure="f", series="s", x=10, kind="timeline",
+                      scenario="homogeneous", num_pe=10, seed=42,
+                      strategy="OPT-IO-CPU", measured_joins=None,
+                      max_simulated_time=30.0, timeline_window=5.0)
+    prefix_point = dataclasses.replace(point, max_simulated_time=10.0)
+    full = ParallelRunner(workers=1).run_points([point])[0].to_dict()
+    prefix = ParallelRunner(workers=1).run_points([prefix_point])[0].to_dict()
+    full_windows = full["timeline"]["windows"]
+    prefix_windows = prefix["timeline"]["windows"]
+    assert len(prefix_windows) == 2
+    assert prefix_windows == full_windows[: len(prefix_windows)]
 
 
 def test_timeline_survives_result_cache(tmp_path):
